@@ -473,6 +473,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes one connection's requests into the owning AnalysisServer."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate sends; with Nagle's algorithm on,
+    # a kept-alive connection would hold the body until the client's
+    # delayed ACK (~40 ms per small response).
+    disable_nagle_algorithm = True
     server: _ServeHTTPServer
 
     # -- plumbing -------------------------------------------------------- #

@@ -57,10 +57,13 @@ import struct
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from operator import itemgetter
+from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.trace.records import (
     GlobalSymbol,
+    OperandTemplate,
+    RecordTemplate,
     Trace,
     TraceOperand,
     TraceRecord,
@@ -79,7 +82,11 @@ INDEX_STRIDE = 256
 _HEADER = struct.Struct("<4sHHH")
 _TRAILER = struct.Struct("<Q4s")
 _RECORD_FIXED = struct.Struct("<qiiiiIIIIBB")
+#: ``_RECORD_FIXED`` without its leading dyn id: a template's static part.
+_RECORD_TAIL = struct.Struct("<iiiiIIIIBB")
 _OPERAND_FIXED = struct.Struct("<BIiI")
+#: ``_OPERAND_FIXED`` without its name id (for per-record names).
+_OPERAND_HEAD = struct.Struct("<BIi")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -94,10 +101,33 @@ _VALUE_BIG = 2
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+#: Field limits of the format: u16 string lengths, u8 operand counts.
+_MAX_STRING_BYTES = 0xFFFF
+_MAX_OPERANDS = 0xFF
+
+#: Upper bound of the writer's record buffer; it is hashed and written out
+#: whenever the next record would not fit.
+WRITE_BUFFER_BYTES = 1 << 20
+
+#: A compiled record packer: ``(Struct.pack_into, block size, argument
+#: interleaver, static byte strings)``.
+_Packer = Tuple[Callable[..., None], int, Callable[[tuple], tuple],
+                Tuple[bytes, ...]]
 
 
 class BinaryTraceError(ValueError):
-    """Raised when a file does not follow the binary trace encoding."""
+    """Raised when a file does not follow the binary trace encoding, or a
+    trace holds a field the encoding cannot represent."""
+
+
+def _checked_utf8(text: str, what: str) -> bytes:
+    """``text`` as UTF-8, refused when its u16 length prefix would overflow."""
+    data = text.encode()
+    if len(data) > _MAX_STRING_BYTES:
+        raise BinaryTraceError(
+            f"{what} of {len(data)} UTF-8 bytes exceeds the binary trace "
+            f"format's limit of {_MAX_STRING_BYTES}: {text[:40]!r}...")
+    return data
 
 
 def is_binary_trace_file(path: str) -> bool:
@@ -109,40 +139,98 @@ def is_binary_trace_file(path: str) -> bool:
 # --------------------------------------------------------------------------- #
 # Writer
 # --------------------------------------------------------------------------- #
+class _BoundTemplate:
+    """A :class:`RecordTemplate` whose strings one writer has interned.
+
+    ``tail`` is the packed static part of the record header (everything
+    after the dyn id); ``operands`` holds ``(register bit, index id, bits,
+    name id)`` per slot, the name id ``None`` for a per-record name.
+    ``packers`` caches one compiled packer per *value kinds* key (see
+    :meth:`TraceBinaryWriter._compile`).
+    """
+
+    __slots__ = ("tail", "operands", "packers")
+
+    def __init__(self, tail: bytes,
+                 operands: List[Tuple[int, int, int, Optional[int]]]) -> None:
+        self.tail = tail
+        self.operands = operands
+        self.packers: Dict[tuple, _Packer] = {}
+
+
+def _widen(kinds: tuple, values: tuple) -> Optional[Tuple[tuple, tuple]]:
+    """Re-key a record whose integer values overflow the int64 field.
+
+    Each such value is replaced by its tag-2 encoding (u32 digit count +
+    decimal digits) and its kind by that encoding's length, which
+    :meth:`TraceBinaryWriter._compile` packs as a byte string.  Returns
+    ``None`` when no value overflows (the error lies elsewhere).
+    """
+    wide_kinds = list(kinds)
+    wide_values = list(values)
+    for slot in range(0, len(values), 2):
+        value = values[slot]
+        if kinds[slot] is int and not _INT64_MIN <= value <= _INT64_MAX:
+            digits = str(value).encode("ascii")
+            wide_values[slot] = _U32.pack(len(digits)) + digits
+            wide_kinds[slot] = _U32.size + len(digits)
+    if wide_kinds == list(kinds):
+        return None
+    return tuple(wide_kinds), tuple(wide_values)
+
+
 class TraceBinaryWriter:
     """Stream a trace to a binary file as it is generated.
 
-    Implements the same sink protocol as
-    :class:`repro.trace.textio.TraceTextWriter` (``write_global`` /
-    ``write_record``), so the tracing interpreter can stream directly into
-    the binary format.  Globals and the string table live in the footer, so
-    they may arrive at any point before :meth:`close`.
+    Implements the trace sink protocol (``write_global`` /
+    ``emit(template, dyn_id, name, values)``, see
+    :class:`repro.trace.records.RecordTemplate`) shared with
+    :class:`repro.trace.textio.TraceTextWriter`, so the tracing interpreter
+    can stream directly into the binary format.  Globals and the string
+    table live in the footer, so they may arrive at any point before
+    :meth:`close`.
+
+    Each template is bound on its first record: its strings are interned
+    (in record order, so the string table matches a record-by-record
+    encoding) and its static header is packed once.  Per record the writer
+    then packs only the dyn id, the values and the addresses, with one
+    precompiled ``struct`` call into a write buffer of at most
+    :data:`WRITE_BUFFER_BYTES`.  The format's field limits (65535-byte
+    strings, 255 operands) are checked while binding and interning, so an
+    oversized field raises :class:`BinaryTraceError` before any byte of
+    its record is buffered.
 
     The writer also maintains the trace's **content digest** (SHA-256 over
     the record blocks in stream order plus the encoded globals section) as a
-    by-product of encoding — one incremental hash update per block, no
-    second pass — and records it in the footer.  Pass ``fileobj`` to encode
-    into an existing binary sink (e.g. a discard sink when only the digest
-    is wanted); the writer then never opens or closes a file of its own.
+    by-product of encoding — the buffer is folded into the hash each time it
+    is written out, no second pass — and records it in the footer.  Pass
+    ``fileobj`` to encode into an existing binary sink (e.g. a discard sink
+    when only the digest is wanted); the writer then never opens or closes a
+    file of its own.
     """
 
     def __init__(self, path: Optional[str], module_name: str = "module",
                  fileobj: Optional[IO[bytes]] = None) -> None:
         if (path is None) == (fileobj is None):
             raise ValueError("pass exactly one of path or fileobj")
+        name_bytes = _checked_utf8(module_name, "module name")
         self.path = path
         self.module_name = module_name
         self._owns_handle = fileobj is None
         self._fh: Optional[IO[bytes]] = (open(path, "wb") if fileobj is None
                                          else fileobj)
-        name_bytes = module_name.encode()
         self._fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0,
                                     len(name_bytes)))
         self._fh.write(name_bytes)
-        self._offset = _HEADER.size + len(name_bytes)
+        #: file offset of the first byte in the write buffer
+        self._flushed = _HEADER.size + len(name_bytes)
+        self._buffer = bytearray(WRITE_BUFFER_BYTES)
+        self._used = 0
         self._globals: List[GlobalSymbol] = []
         self._strings: List[str] = []
-        self._string_ids: dict = {}
+        self._string_ids: Dict[str, int] = {}
+        self._bound: Dict[RecordTemplate, _BoundTemplate] = {}
+        self._record_templates: Dict[tuple, RecordTemplate] = {}
         self._index: List[int] = []
         self._record_count = 0
         self._digest = hashlib.sha256()
@@ -152,34 +240,144 @@ class TraceBinaryWriter:
     def _intern(self, text: str) -> int:
         string_id = self._string_ids.get(text)
         if string_id is None:
+            _checked_utf8(text, "string")
             string_id = len(self._strings)
             self._strings.append(text)
             self._string_ids[text] = string_id
         return string_id
 
-    def _encode_operand(self, parts: List[bytes], operand: TraceOperand) -> None:
-        value = operand.value
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, float):
-            tag = _VALUE_FLOAT
-            value_bytes = _F64.pack(value)
-        elif _INT64_MIN <= value <= _INT64_MAX:
-            tag = _VALUE_INT
-            value_bytes = _I64.pack(value)
-        else:
-            tag = _VALUE_BIG
-            digits = str(value).encode("ascii")
-            value_bytes = _U32.pack(len(digits)) + digits
-        flags = ((1 if operand.is_register else 0)
-                 | (2 if operand.address is not None else 0)
-                 | (tag << 4))
-        parts.append(_OPERAND_FIXED.pack(flags, self._intern(operand.index),
-                                         operand.bits,
-                                         self._intern(operand.name)))
-        parts.append(value_bytes)
-        if operand.address is not None:
-            parts.append(_U64.pack(operand.address))
+    def _bind(self, template: RecordTemplate,
+              name: Optional[str]) -> _BoundTemplate:
+        """Intern ``template``'s strings and pack its static header."""
+        count = len(template.operands)
+        if count > _MAX_OPERANDS:
+            raise BinaryTraceError(
+                f"{template.opcode_name} record at {template.function}:"
+                f"{template.line} has {count} operands; the binary trace "
+                f"format holds at most {_MAX_OPERANDS}")
+        intern = self._intern
+        tail = _RECORD_TAIL.pack(
+            template.opcode, template.line, template.column,
+            template.bb_label, intern(template.opcode_name),
+            intern(template.function), intern(template.bb_id),
+            intern(template.callee), count,
+            0 if template.result is None else 1)
+        slots = list(template.operands)
+        if template.result is not None:
+            slots.append(template.result)
+        operands: List[Tuple[int, int, int, Optional[int]]] = []
+        for spec in slots:
+            index_id = intern(spec.index)
+            if spec.name is None:
+                assert name is not None, "per-record operand name missing"
+                intern(name)  # this record's name, in field order
+                name_id: Optional[int] = None
+            else:
+                name_id = intern(spec.name)
+            operands.append((1 if spec.is_register else 0, index_id,
+                             spec.bits, name_id))
+        bound = self._bound[template] = _BoundTemplate(tail, operands)
+        return bound
+
+    @staticmethod
+    def _compile(bound: _BoundTemplate, kinds: tuple) -> _Packer:
+        """Build the packer for one value-kinds key of a bound template.
+
+        ``kinds`` holds the type of every value and address (a big integer
+        value's kind is the length of its tag-2 encoding).  The packer is
+        one ``Struct`` over the whole record plus an ``itemgetter`` that
+        interleaves the per-record arguments ``(dyn_id, name_id, *values)``
+        with the template's static byte strings.
+        """
+        values_count = len(kinds)
+        statics: List[bytes] = [bound.tail]
+        layout = ["<q34s"]
+        order = [0, 2 + values_count]
+        for slot, (register, index_id, bits, name_id) in enumerate(
+                bound.operands):
+            value_kind = kinds[2 * slot]
+            has_address = kinds[2 * slot + 1] is not type(None)
+            if value_kind is float:
+                tag, code = _VALUE_FLOAT, "d"
+            elif value_kind is int or value_kind is bool:
+                tag, code = _VALUE_INT, "q"
+            elif isinstance(value_kind, int):
+                tag, code = _VALUE_BIG, f"{value_kind}s"
+            else:
+                raise BinaryTraceError(
+                    f"cannot encode an operand value of type "
+                    f"{value_kind.__name__}")
+            flags = register | (2 if has_address else 0) | (tag << 4)
+            order.append(2 + values_count + len(statics))
+            if name_id is None:
+                statics.append(_OPERAND_HEAD.pack(flags, index_id, bits))
+                layout.append(f"{_OPERAND_HEAD.size}sI")
+                order.append(1)
+            else:
+                statics.append(_OPERAND_FIXED.pack(flags, index_id, bits,
+                                                   name_id))
+                layout.append(f"{_OPERAND_FIXED.size}s")
+            layout.append(code)
+            order.append(2 + 2 * slot)
+            if has_address:
+                layout.append("Q")
+                order.append(3 + 2 * slot)
+        packer = struct.Struct("".join(layout))
+        compiled = (packer.pack_into, packer.size, itemgetter(*order),
+                    tuple(statics))
+        bound.packers[kinds] = compiled
+        return compiled
+
+    def emit(self, template: RecordTemplate, dyn_id: int,
+             name: Optional[str], values: tuple) -> None:
+        """Append one record block (and its index entry when due).
+
+        Args:
+            template: the static part of the record; bound (strings
+                interned, header packed) on its first record.
+            dyn_id: the record's dynamic instruction id.
+            name: the variable name filling the template's per-record
+                operand name slot (``None`` when it has none).
+            values: flat ``(value, address, ...)`` pairs of the operands
+                then the result.
+        """
+        bound = self._bound.get(template)
+        if bound is None:
+            bound = self._bind(template, name)
+        name_id = None if name is None else self._intern(name)
+        self._pack(bound, tuple(map(type, values)), dyn_id, name_id, values)
+
+    def _pack(self, bound: _BoundTemplate, kinds: tuple, dyn_id: int,
+              name_id: Optional[int], values: tuple) -> None:
+        packer = bound.packers.get(kinds)
+        if packer is None:
+            packer = self._compile(bound, kinds)
+        pack_into, size, order, statics = packer
+        if self._used + size > WRITE_BUFFER_BYTES:
+            self._flush()
+        try:
+            pack_into(self._buffer, self._used,
+                      *order((dyn_id, name_id) + values + statics))
+        except struct.error:
+            wide = _widen(kinds, values)
+            if wide is None:
+                raise
+            self._pack(bound, wide[0], dyn_id, name_id, wide[1])
+            return
+        if not self._record_count % INDEX_STRIDE:
+            self._index.append(self._flushed + self._used)
+        self._used += size
+        self._record_count += 1
+
+    def _flush(self) -> None:
+        """Fold the buffered record blocks into the digest and write them."""
+        if self._used:
+            assert self._fh is not None
+            chunk = self._buffer[:self._used]
+            self._digest.update(chunk)
+            self._fh.write(chunk)
+            self._flushed += self._used
+            self._used = 0
 
     def write_global(self, symbol: GlobalSymbol) -> None:
         """Queue one module global for the footer's preamble section.
@@ -190,33 +388,34 @@ class TraceBinaryWriter:
                 the footer, not ahead of the records).
         """
         assert self._fh is not None
+        _checked_utf8(symbol.name, "global name")
         self._globals.append(symbol)
 
     def write_record(self, record: TraceRecord) -> None:
-        """Append one record block (and its index entry when due).
-
-        Args:
-            record: the executed instruction to encode; its strings are
-                interned into the footer's string table.
-        """
-        assert self._fh is not None
-        if self._record_count % INDEX_STRIDE == 0:
-            self._index.append(self._offset)
-        parts: List[bytes] = [_RECORD_FIXED.pack(
-            record.dyn_id, record.opcode, record.line, record.column,
-            record.bb_label,
-            self._intern(record.opcode_name), self._intern(record.function),
-            self._intern(record.bb_id), self._intern(record.callee),
-            len(record.operands), 1 if record.result is not None else 0)]
-        for operand in record.operands:
-            self._encode_operand(parts, operand)
+        """Append an already-built record: :meth:`emit` with a template
+        cached per distinct static part (used to re-encode in-memory
+        traces)."""
+        slots = list(record.operands)
         if record.result is not None:
-            self._encode_operand(parts, record.result)
-        block = b"".join(parts)
-        self._fh.write(block)
-        self._digest.update(block)
-        self._offset += len(block)
-        self._record_count += 1
+            slots.append(record.result)
+        key = (record.opcode, record.opcode_name, record.function,
+               record.line, record.column, record.bb_label, record.bb_id,
+               record.callee, len(record.operands),
+               tuple((op.index, op.bits, op.is_register, op.name)
+                     for op in slots))
+        template = self._record_templates.get(key)
+        if template is None:
+            specs = tuple(OperandTemplate(*spec) for spec in key[9])
+            count = key[8]
+            template = RecordTemplate(
+                *key[:8], operands=specs[:count],
+                result=specs[count] if record.result is not None else None)
+            self._record_templates[key] = template
+        values: List[Union[int, float, None]] = []
+        for operand in slots:
+            values.append(operand.value)
+            values.append(operand.address)
+        self.emit(template, record.dyn_id, None, tuple(values))
 
     @property
     def record_count(self) -> int:
@@ -230,7 +429,7 @@ class TraceBinaryWriter:
 
     def _write_footer(self) -> None:
         assert self._fh is not None
-        footer_offset = self._offset
+        footer_offset = self._flushed
         globals_parts: List[bytes] = []
         for symbol in self._globals:
             name_bytes = symbol.name.encode()
@@ -265,12 +464,14 @@ class TraceBinaryWriter:
         self._fh.write(b"".join(out))
 
     def close(self) -> None:
-        """Write the footer (globals + string table + block index + content
-        digest) and the trailer, then close the file.  Idempotent; a file
-        without its trailer is detected as truncated by
-        :func:`read_layout`.  An externally supplied ``fileobj`` is left
-        open (the caller owns it)."""
+        """Write out the buffered records, then the footer (globals + string
+        table + block index + content digest) and the trailer, then close
+        the file.  Idempotent; a file without its trailer is detected as
+        truncated by :func:`read_layout`.  An externally supplied
+        ``fileobj`` is left open (the caller owns it)."""
         if self._fh is not None:
+            self._flush()
+            self._buffer = bytearray()
             self._write_footer()
             if self._owns_handle:
                 self._fh.close()

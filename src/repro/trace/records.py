@@ -15,12 +15,17 @@ Each record carries exactly the information the paper's Fig. 1 describes:
 * one entry per operand and one for the result, each with: operand id, size
   in bits, runtime value, a register-or-variable flag, the register/variable
   name, and — for memory operands — the concrete memory address.
+
+The tracer emits records in split form: a :class:`RecordTemplate` with the
+part every execution of one static instruction shares, plus the per-record
+dyn id, values, addresses and pointer name.  :func:`record_from_template`
+rebuilds the :class:`TraceRecord`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.opcodes import ARITHMETIC_OPCODE_VALUES, Opcode
 
@@ -122,6 +127,69 @@ class TraceRecord:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TraceRecord #{self.dyn_id} {self.opcode_name} "
                 f"{self.function}:{self.line}>")
+
+
+@dataclass(frozen=True, slots=True)
+class OperandTemplate:
+    """The static part of one operand slot of a :class:`RecordTemplate`.
+
+    ``name`` is ``None`` when the slot names the variable a pointer travels
+    under at run time (the memory operand of a Load/Store/GEP); the emitter
+    then passes that name with each record.
+    """
+
+    index: str
+    bits: int
+    is_register: bool
+    name: Optional[str]
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTemplate:
+    """Everything a static instruction's records share.
+
+    The tracer builds one per executed instruction and run; each execution
+    then hands a sink only ``(template, dyn_id, name, values)``, where
+    ``values`` is the flat ``(value, address, value, address, ...)`` tuple
+    of the operands followed by the result, and ``name`` fills the slots
+    whose :attr:`OperandTemplate.name` is ``None``.  Templates compare and
+    hash by identity, so sinks can key per-template state on them cheaply.
+    """
+
+    opcode: int
+    opcode_name: str
+    function: str
+    line: int
+    column: int
+    bb_label: int
+    bb_id: str
+    callee: str
+    operands: Tuple[OperandTemplate, ...]
+    result: Optional[OperandTemplate] = None
+
+
+def record_from_template(template: RecordTemplate, dyn_id: int,
+                         name: Optional[str],
+                         values: Sequence[Union[int, float, None]],
+                         ) -> TraceRecord:
+    """Rebuild the :class:`TraceRecord` one ``emit`` call describes."""
+    operands = []
+    for slot, spec in enumerate(template.operands):
+        operands.append(TraceOperand(
+            spec.index, spec.bits, values[2 * slot], spec.is_register,
+            name if spec.name is None else spec.name, values[2 * slot + 1]))
+    result = None
+    result_spec = template.result
+    if result_spec is not None:
+        result = TraceOperand(
+            result_spec.index, result_spec.bits, values[-2],
+            result_spec.is_register,
+            name if result_spec.name is None else result_spec.name,
+            values[-1])
+    return TraceRecord(dyn_id, template.opcode, template.opcode_name,
+                       template.function, template.line, template.column,
+                       template.bb_label, template.bb_id, operands, result,
+                       template.callee)
 
 
 @dataclass(frozen=True, slots=True)

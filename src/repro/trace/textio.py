@@ -36,9 +36,11 @@ from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Unio
 from repro.trace.records import (
     GlobalSymbol,
     RESULT_INDEX,
+    RecordTemplate,
     Trace,
     TraceOperand,
     TraceRecord,
+    record_from_template,
 )
 
 FORMAT_VERSION = 1
@@ -231,7 +233,12 @@ def parse_record_lines(lines: Iterable[str]) -> List[TraceRecord]:
 # Writer
 # --------------------------------------------------------------------------- #
 class TraceTextWriter:
-    """Stream a trace to a text file as it is generated."""
+    """Stream a trace to a text file as it is generated.
+
+    A trace sink (``write_global`` / ``emit``, see
+    :class:`repro.trace.records.RecordTemplate`); ``write_record`` writes an
+    already-built record.
+    """
 
     def __init__(self, path: str, module_name: str = "module") -> None:
         self.path = path
@@ -256,6 +263,11 @@ class TraceTextWriter:
         assert self._fh is not None
         self._fh.write("\n".join(record_to_lines(record)) + "\n")
         self._record_count += 1
+
+    def emit(self, template: RecordTemplate, dyn_id: int,
+             name: Optional[str], values: tuple) -> None:
+        """Trace sink entry point: write the record one emission describes."""
+        self.write_record(record_from_template(template, dyn_id, name, values))
 
     @property
     def record_count(self) -> int:

@@ -7,8 +7,10 @@ produced by directly interpreting the LLVM-like IR:
 * :mod:`repro.tracer.memory` — a concrete memory model (global segment,
   per-frame stack allocations, element-granular addresses) so every trace
   operand can carry a real memory address;
-* :mod:`repro.tracer.interpreter` — executes a compiled module, emitting one
-  :class:`repro.trace.records.TraceRecord` per executed instruction, with
+* :mod:`repro.tracer.interpreter` — executes a compiled module (each block
+  compiled once into per-instruction steps), emitting one record per
+  executed instruction as a per-instruction
+  :class:`repro.trace.records.RecordTemplate` plus its dynamic values, with
   block-entry hooks used by checkpoint instrumentation and fault injection;
 * :mod:`repro.tracer.runtime` — deterministic builtins (``sqrt``, ``pow``,
   ``rand``, ``clock``, ``print``);

@@ -1,17 +1,32 @@
 """The tracing IR interpreter (LLVM-Tracer substitute).
 
-Executes a compiled :class:`repro.ir.module.Module` starting at ``main``,
-emitting one dynamic :class:`repro.trace.records.TraceRecord` per executed
-instruction into a pluggable *trace sink* (in-memory or text file).  Block
-entry hooks allow checkpoint instrumentation and fault injection to observe
-and alter a run without touching the program itself.
+Executes a compiled :class:`repro.ir.module.Module` starting at ``main``.
+Each basic block is compiled on its first entry into one *step* closure per
+instruction, with the instruction's class, opcode or predicate, operand
+accessors and register ids resolved once, so the run loop does no
+per-instruction dispatch.
+
+With a *trace sink* attached, every executed instruction becomes one dynamic
+record.  Its static part (opcode, source position, basic block, function,
+callee and each operand's index, bits and name) is a
+:class:`repro.trace.records.RecordTemplate` built once per instruction and
+run; per execution the step hands the sink only the dynamic id, the operand
+values and addresses, and the variable name a memory operand's pointer
+travels under: ``sink.emit(template, dyn_id, name, values)``.  The sinks are
+:class:`InMemoryTraceSink`, :class:`repro.trace.textio.TraceTextWriter` and
+:class:`repro.trace.binio.TraceBinaryWriter`.  Without a sink no record data
+is built at all.
+
+Block entry hooks allow checkpoint instrumentation and fault injection to
+observe and alter a run without touching the program itself.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.instructions import (
     AllocaInst,
@@ -32,7 +47,14 @@ from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.opcodes import Opcode
 from repro.ir.types import ArrayType, PointerType
 from repro.ir.values import Argument, Constant, GlobalVariable, Register, Value
-from repro.trace.records import GlobalSymbol, RESULT_INDEX, Trace, TraceOperand, TraceRecord
+from repro.trace.records import (
+    RESULT_INDEX,
+    GlobalSymbol,
+    OperandTemplate,
+    RecordTemplate,
+    Trace,
+    record_from_template,
+)
 from repro.tracer.faults import SimulatedFailure
 from repro.tracer.memory import Allocation, Memory
 from repro.tracer.runtime import Runtime, RuntimeError_, format_print_output
@@ -52,8 +74,10 @@ class InMemoryTraceSink:
     def write_global(self, symbol: GlobalSymbol) -> None:
         self.trace.globals.append(symbol)
 
-    def write_record(self, record: TraceRecord) -> None:
-        self.trace.records.append(record)
+    def emit(self, template: RecordTemplate, dyn_id: int,
+             name: Optional[str], values: tuple) -> None:
+        self.trace.records.append(
+            record_from_template(template, dyn_id, name, values))
 
 
 @dataclass
@@ -94,6 +118,87 @@ class ExecutionResult:
         return "\n".join(self.output)
 
 
+#: What a terminator step returns: ``("branch", block)`` or
+#: ``("return", value)``; every other step returns ``None``.
+Action = Tuple[str, object]
+#: One compiled instruction.
+Step = Callable[[Frame], Optional[Action]]
+#: Reads one IR operand's runtime value in a frame.
+Getter = Callable[[Frame], RuntimeValue]
+
+
+def _truncate(number: Union[int, float]) -> int:
+    return int(number) if number >= 0 else -int(-number)
+
+
+def _keep(number: Union[int, float]) -> Union[int, float]:
+    return int(number) if isinstance(number, int) else number
+
+
+#: Cast semantics by opcode; other casts (integer width changes and
+#: pointer/int casts) are value-preserving (:func:`_keep`).
+_CASTS: Dict[Opcode, Callable[[Union[int, float]], Union[int, float]]] = {
+    Opcode.SITOFP: float, Opcode.UITOFP: float,
+    Opcode.FPEXT: float, Opcode.FPTRUNC: float,
+    Opcode.FPTOSI: _truncate, Opcode.FPTOUI: _truncate,
+}
+
+_PREDICATES: Dict[str, Callable[..., bool]] = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+_BINARY: Dict[Opcode, Callable[[Union[int, float], Union[int, float]],
+                               Union[int, float]]] = {
+    Opcode.ADD: lambda lhs, rhs: int(lhs) + int(rhs),
+    Opcode.FADD: lambda lhs, rhs: float(lhs) + float(rhs),
+    Opcode.SUB: lambda lhs, rhs: int(lhs) - int(rhs),
+    Opcode.FSUB: lambda lhs, rhs: float(lhs) - float(rhs),
+    Opcode.MUL: lambda lhs, rhs: int(lhs) * int(rhs),
+    Opcode.FMUL: lambda lhs, rhs: float(lhs) * float(rhs),
+    Opcode.SDIV: lambda lhs, rhs: math.trunc(int(lhs) / int(rhs)),
+    Opcode.UDIV: lambda lhs, rhs: math.trunc(int(lhs) / int(rhs)),
+    Opcode.FDIV: lambda lhs, rhs: float(lhs) / float(rhs),
+    Opcode.SREM: lambda lhs, rhs: (
+        int(lhs) - int(rhs) * math.trunc(int(lhs) / int(rhs))),
+    Opcode.UREM: lambda lhs, rhs: (
+        int(lhs) - int(rhs) * math.trunc(int(lhs) / int(rhs))),
+    Opcode.FREM: lambda lhs, rhs: math.fmod(float(lhs), float(rhs)),
+    Opcode.AND: lambda lhs, rhs: 1 if (lhs != 0 and rhs != 0) else 0,
+    Opcode.OR: lambda lhs, rhs: 1 if (lhs != 0 or rhs != 0) else 0,
+    Opcode.XOR: lambda lhs, rhs: 1 if (lhs != 0) != (rhs != 0) else 0,
+}
+
+
+def _flatten(values: Iterable[RuntimeValue]) -> tuple:
+    """``(value, address)`` pairs of runtime values, flat, for ``emit``.
+
+    A pointer's value is its address; numbers have no address.
+    """
+    flat: List[Union[int, float, None]] = []
+    for value in values:
+        if isinstance(value, PointerValue):
+            flat += (value.address, value.address)
+        else:
+            flat += (value, None)
+    return tuple(flat)
+
+
+def _operand_template(index: str, value: Value) -> OperandTemplate:
+    bits = value.type.size_in_bits() if value.type is not None else 64
+    if isinstance(value, Register):
+        return OperandTemplate(index, bits, True, str(value.rid))
+    if isinstance(value, (GlobalVariable, Argument)):
+        return OperandTemplate(index, bits, False, value.name)
+    return OperandTemplate(index, bits, False, "")  # Constant
+
+
+def _result_template(inst: Instruction) -> OperandTemplate:
+    assert inst.result is not None
+    return OperandTemplate(RESULT_INDEX, inst.result.type.size_in_bits(),
+                           True, str(inst.result.rid))
+
+
 class Interpreter:
     """Execute a module and (optionally) emit its dynamic instruction trace."""
 
@@ -108,10 +213,11 @@ class Interpreter:
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
         self.steps = 0
-        self.dyn_counter = 0
         self.global_allocations: Dict[str, Allocation] = {}
         self._block_hooks: Dict[Tuple[str, str], List[Callable[[HookContext], None]]] = {}
         self._block_entry_counts: Dict[Tuple[str, str], int] = {}
+        self._blocks: Dict[BasicBlock, Tuple[Tuple[str, str], List[Step]]] = {}
+        self._emit = trace_sink.emit if trace_sink is not None else None
         self._globals_ready = False
 
     # ------------------------------------------------------------------ #
@@ -129,6 +235,12 @@ class Interpreter:
         if not self.frames:
             raise InterpreterError("no active frame")
         return self.frames[-1]
+
+    @property
+    def dyn_counter(self) -> int:
+        """Dynamic id of the most recently executed instruction (each
+        instruction emits exactly one record, numbered from 1)."""
+        return self.steps
 
     def resolve_variable(self, name: str,
                          frame: Optional[Frame] = None) -> Optional[Allocation]:
@@ -195,13 +307,18 @@ class Interpreter:
         frame = Frame(function=function, args=args,
                       stack_mark=self.memory.stack_mark())
         self.frames.append(frame)
+        max_steps = self.max_steps
         try:
             block = function.entry
             while True:
-                self._enter_block(frame, block)
-                action: Optional[Tuple[str, object]] = None
-                for inst in block.instructions:
-                    action = self._execute(frame, inst)
+                action: Optional[Action] = None
+                for step in self._enter_block(frame, block):
+                    self.steps += 1
+                    if self.steps > max_steps:
+                        raise InterpreterError(
+                            f"instruction budget of {max_steps} exceeded "
+                            f"(possible infinite loop in {function.name!r})")
+                    action = step(frame)
                     if action is not None:
                         break
                 if action is None:
@@ -216,8 +333,15 @@ class Interpreter:
             self.frames.pop()
             self.memory.stack_release(frame.stack_mark)
 
-    def _enter_block(self, frame: Frame, block: BasicBlock) -> None:
-        key = (frame.function.name, block.name)
+    def _enter_block(self, frame: Frame, block: BasicBlock) -> List[Step]:
+        """Count the entry, run its hooks; return the block's steps."""
+        compiled = self._blocks.get(block)
+        if compiled is None:
+            compiled = self._blocks[block] = (
+                (frame.function.name, block.name),
+                [self._compile(frame.function, inst)
+                 for inst in block.instructions])
+        key, steps = compiled
         count = self._block_entry_counts.get(key, 0) + 1
         self._block_entry_counts[key] = count
         hooks = self._block_hooks.get(key)
@@ -227,123 +351,69 @@ class Interpreter:
                                   block_name=block.name, entry_count=count)
             for hook in hooks:
                 hook(context)
+        return steps
 
     # ------------------------------------------------------------------ #
-    # Operand evaluation and trace helpers
+    # Compilation: operand accessors and record templates
     # ------------------------------------------------------------------ #
-    def _eval(self, frame: Frame, value: Value) -> RuntimeValue:
+    def _compile(self, function: Function, inst: Instruction) -> Step:
+        for cls in type(inst).__mro__:
+            compiler = _COMPILERS.get(cls)
+            if compiler is not None:
+                return compiler(self, function, inst)
+
+        def unknown(frame: Frame) -> None:  # pragma: no cover - defensive
+            raise InterpreterError(f"cannot execute instruction {inst!r}")
+        return unknown
+
+    def _getter(self, value: Value) -> Getter:
         if isinstance(value, Constant):
-            return value.value
+            constant = value.value
+            return lambda frame: constant
         if isinstance(value, Register):
-            try:
-                return frame.regs[value.rid]
-            except KeyError as exc:
-                raise InterpreterError(
-                    f"use of unset register %{value.rid} in {frame.function.name}") from exc
+            rid = value.rid
+
+            def register(frame: Frame) -> RuntimeValue:
+                try:
+                    return frame.regs[rid]
+                except KeyError as exc:
+                    raise InterpreterError(
+                        f"use of unset register %{rid} in "
+                        f"{frame.function.name}") from exc
+            return register
         if isinstance(value, GlobalVariable):
             allocation = self.global_allocations[value.name]
-            element_bits = allocation.element_bits
-            return PointerValue(allocation.address, value.name, element_bits)
+            pointer = PointerValue(allocation.address, value.name,
+                                   allocation.element_bits)
+            return lambda frame: pointer
         if isinstance(value, Argument):
-            return frame.args[value.index]
-        raise InterpreterError(f"cannot evaluate operand {value!r}")
+            index = value.index
+            return lambda frame: frame.args[index]
 
-    def _value_operand(self, index: str, ir_value: Value,
-                       runtime_value: RuntimeValue) -> TraceOperand:
-        bits = ir_value.type.size_in_bits() if ir_value.type is not None else 64
-        if isinstance(ir_value, Register):
-            address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-            return TraceOperand(index=index, bits=bits,
-                                value=as_number(runtime_value), is_register=True,
-                                name=str(ir_value.rid), address=address)
-        if isinstance(ir_value, GlobalVariable):
-            address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-            return TraceOperand(index=index, bits=bits,
-                                value=as_number(runtime_value), is_register=False,
-                                name=ir_value.name, address=address)
-        if isinstance(ir_value, Argument):
-            address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-            return TraceOperand(index=index, bits=bits,
-                                value=as_number(runtime_value), is_register=False,
-                                name=ir_value.name, address=address)
-        # Constant
-        return TraceOperand(index=index, bits=bits, value=as_number(runtime_value),
-                            is_register=False, name="", address=None)
+        def unknown(frame: Frame) -> RuntimeValue:
+            raise InterpreterError(f"cannot evaluate operand {value!r}")
+        return unknown
 
-    def _register_result(self, inst: Instruction,
-                         runtime_value: RuntimeValue) -> Optional[TraceOperand]:
-        if inst.result is None:
-            return None
-        bits = inst.result.type.size_in_bits()
-        address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-        return TraceOperand(index=RESULT_INDEX, bits=bits,
-                            value=as_number(runtime_value), is_register=True,
-                            name=str(inst.result.rid), address=address)
-
-    def _emit(self, frame: Frame, inst: Instruction,
-              operands: List[TraceOperand],
-              result: Optional[TraceOperand] = None, callee: str = "") -> None:
-        self.dyn_counter += 1
+    def _template(self, function: Function, inst: Instruction,
+                  operands: Iterable[OperandTemplate],
+                  result: Optional[OperandTemplate] = None,
+                  callee: str = "") -> Optional[RecordTemplate]:
+        """The instruction's record template; ``None`` when untraced."""
         if self.sink is None:
-            return
+            return None
         block = inst.parent
         bb_label = block.label if block is not None else 0
-        bb_id = f"{block.first_line}:{bb_label}" if block is not None else "0:0"
-        record = TraceRecord(
-            dyn_id=self.dyn_counter,
-            opcode=int(inst.opcode),
-            opcode_name=inst.mnemonic,
-            function=frame.function.name,
-            line=inst.line,
-            column=inst.column,
+        return RecordTemplate(
+            opcode=int(inst.opcode), opcode_name=inst.mnemonic,
+            function=function.name, line=inst.line, column=inst.column,
             bb_label=bb_label,
-            bb_id=bb_id,
-            operands=operands,
-            result=result,
-            callee=callee,
-        )
-        self.sink.write_record(record)
+            bb_id=f"{block.first_line}:{bb_label}" if block is not None else "0:0",
+            callee=callee, operands=tuple(operands), result=result)
 
     # ------------------------------------------------------------------ #
-    # Instruction execution
+    # Per-class step compilers
     # ------------------------------------------------------------------ #
-    def _execute(self, frame: Frame,
-                 inst: Instruction) -> Optional[Tuple[str, object]]:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise InterpreterError(
-                f"instruction budget of {self.max_steps} exceeded "
-                f"(possible infinite loop in {frame.function.name!r})")
-
-        if isinstance(inst, AllocaInst):
-            self._exec_alloca(frame, inst)
-        elif isinstance(inst, LoadInst):
-            self._exec_load(frame, inst)
-        elif isinstance(inst, StoreInst):
-            self._exec_store(frame, inst)
-        elif isinstance(inst, GEPInst):
-            self._exec_gep(frame, inst)
-        elif isinstance(inst, BitCastInst):
-            self._exec_bitcast(frame, inst)
-        elif isinstance(inst, CastInst):
-            self._exec_cast(frame, inst)
-        elif isinstance(inst, CmpInst):
-            self._exec_cmp(frame, inst)
-        elif isinstance(inst, BinaryInst):
-            self._exec_binary(frame, inst)
-        elif isinstance(inst, PrintInst):
-            self._exec_print(frame, inst)
-        elif isinstance(inst, CallInst):
-            self._exec_call(frame, inst)
-        elif isinstance(inst, BranchInst):
-            return self._exec_branch(frame, inst)
-        elif isinstance(inst, RetInst):
-            return self._exec_ret(frame, inst)
-        else:  # pragma: no cover - defensive
-            raise InterpreterError(f"cannot execute instruction {inst!r}")
-        return None
-
-    def _exec_alloca(self, frame: Frame, inst: AllocaInst) -> None:
+    def _compile_alloca(self, function: Function, inst: AllocaInst) -> Step:
         allocated = inst.allocated_type
         if isinstance(allocated, ArrayType):
             element_bits = allocated.element.size_in_bits()
@@ -357,219 +427,346 @@ class Interpreter:
             element_bits = allocated.size_in_bits()
             count = 1
             is_array = False
-        allocation = self.memory.allocate_stack(inst.var_name, element_bits, count,
-                                                is_array, frame.function.name)
-        frame.allocations[inst.var_name] = allocation
-        pointer = PointerValue(allocation.address, inst.var_name, element_bits)
         assert inst.result is not None
-        frame.regs[inst.result.rid] = pointer
-        operands = [TraceOperand(index="1", bits=32, value=count, is_register=False,
-                                 name="count", address=None)]
-        result = TraceOperand(index=RESULT_INDEX, bits=element_bits, value=0,
-                              is_register=False, name=inst.var_name,
-                              address=allocation.address)
-        self._emit(frame, inst, operands, result)
+        rid = inst.result.rid
+        name = inst.var_name
+        allocate = self.memory.allocate_stack
+        template = self._template(
+            function, inst, [OperandTemplate("1", 32, False, "count")],
+            OperandTemplate(RESULT_INDEX, element_bits, False, name))
+        emit = self._emit
 
-    def _exec_load(self, frame: Frame, inst: LoadInst) -> None:
-        pointer = self._eval(frame, inst.pointer)
-        if not isinstance(pointer, PointerValue):
-            raise InterpreterError(f"load through a non-pointer value at line {inst.line}")
+        def alloca(frame: Frame) -> None:
+            allocation = allocate(name, element_bits, count, is_array,
+                                  function.name)
+            frame.allocations[name] = allocation
+            frame.regs[rid] = PointerValue(allocation.address, name, element_bits)
+            if template is not None:
+                emit(template, self.steps, None,
+                     (count, None, 0, allocation.address))
+        return alloca
+
+    def _compile_load(self, function: Function, inst: LoadInst) -> Step:
+        get_pointer = self._getter(inst.pointer)
         assert inst.result is not None
+        rid = inst.result.rid
         default: RuntimeValue = 0.0 if inst.result.type.is_float else 0
-        value = self.memory.load(pointer.address, default)
-        frame.regs[inst.result.rid] = value
-        bits = inst.result.type.size_in_bits()
-        operands = [TraceOperand(index="1", bits=bits, value=as_number(value),
-                                 is_register=False, name=pointer.symbol,
-                                 address=pointer.address)]
-        self._emit(frame, inst, operands, self._register_result(inst, value))
+        line = inst.line
+        load_cell = self.memory.load
+        template = self._template(
+            function, inst,
+            [OperandTemplate("1", inst.result.type.size_in_bits(), False, None)],
+            _result_template(inst))
+        emit = self._emit
 
-    def _exec_store(self, frame: Frame, inst: StoreInst) -> None:
-        value = self._eval(frame, inst.value)
-        pointer = self._eval(frame, inst.pointer)
-        if not isinstance(pointer, PointerValue):
-            raise InterpreterError(f"store through a non-pointer value at line {inst.line}")
-        stored = value
-        if isinstance(value, PointerValue):
-            # Storing a pointer into a (parameter) slot: from now on the
-            # pointer travels under the slot's name, as LLVM-Tracer reports.
-            stored = value.with_symbol(pointer.symbol)
-        self.memory.store(pointer.address, stored)
+        def load(frame: Frame) -> None:
+            pointer = get_pointer(frame)
+            if not isinstance(pointer, PointerValue):
+                raise InterpreterError(f"load through a non-pointer value at line {line}")
+            value = load_cell(pointer.address, default)
+            frame.regs[rid] = value
+            if template is not None:
+                if isinstance(value, PointerValue):
+                    number = address = value.address
+                else:
+                    number, address = value, None
+                emit(template, self.steps, pointer.symbol,
+                     (number, pointer.address, number, address))
+        return load
+
+    def _compile_store(self, function: Function, inst: StoreInst) -> Step:
+        get_value = self._getter(inst.value)
+        get_pointer = self._getter(inst.pointer)
+        line = inst.line
+        store_cell = self.memory.store
         value_bits = inst.value.type.size_in_bits() if inst.value.type else 64
-        operands = [
-            self._value_operand("1", inst.value, value),
-            TraceOperand(index="2", bits=value_bits, value=as_number(value),
-                         is_register=False, name=pointer.symbol,
-                         address=pointer.address),
-        ]
-        self._emit(frame, inst, operands)
+        template = self._template(
+            function, inst,
+            [_operand_template("1", inst.value),
+             OperandTemplate("2", value_bits, False, None)])
+        emit = self._emit
 
-    def _exec_gep(self, frame: Frame, inst: GEPInst) -> None:
-        base = self._eval(frame, inst.base)
-        index = self._eval(frame, inst.index)
-        if not isinstance(base, PointerValue):
-            raise InterpreterError(f"getelementptr on non-pointer at line {inst.line}")
+        def store(frame: Frame) -> None:
+            value = get_value(frame)
+            pointer = get_pointer(frame)
+            if not isinstance(pointer, PointerValue):
+                raise InterpreterError(f"store through a non-pointer value at line {line}")
+            if isinstance(value, PointerValue):
+                # Storing a pointer into a (parameter) slot: from now on the
+                # pointer travels under the slot's name, as LLVM-Tracer reports.
+                store_cell(pointer.address, value.with_symbol(pointer.symbol))
+                number = address = value.address
+            else:
+                store_cell(pointer.address, value)
+                number, address = value, None
+            if template is not None:
+                emit(template, self.steps, pointer.symbol,
+                     (number, address, number, pointer.address))
+        return store
+
+    def _compile_gep(self, function: Function, inst: GEPInst) -> Step:
+        get_base = self._getter(inst.base)
+        get_index = self._getter(inst.index)
+        line = inst.line
         element_bits = inst.element_type.size_in_bits()
-        pointer = PointerValue(base.address + int(as_number(index)) * element_bits // 8,
-                               base.symbol, element_bits)
         assert inst.result is not None
-        frame.regs[inst.result.rid] = pointer
-        operands = [
-            TraceOperand(index="1", bits=64, value=base.address, is_register=False,
-                         name=base.symbol, address=base.address),
-            self._value_operand("2", inst.index, index),
-        ]
-        self._emit(frame, inst, operands, self._register_result(inst, pointer))
+        rid = inst.result.rid
+        template = self._template(
+            function, inst,
+            [OperandTemplate("1", 64, False, None),
+             _operand_template("2", inst.index)],
+            _result_template(inst))
+        emit = self._emit
 
-    def _exec_bitcast(self, frame: Frame, inst: BitCastInst) -> None:
-        value = self._eval(frame, inst.operands[0])
-        result_type = inst.result.type if inst.result is not None else None
-        if isinstance(value, PointerValue) and isinstance(result_type, PointerType):
-            value = PointerValue(value.address, value.symbol,
-                                 result_type.pointee.size_in_bits())
+        def gep(frame: Frame) -> None:
+            base = get_base(frame)
+            index = get_index(frame)
+            if not isinstance(base, PointerValue):
+                raise InterpreterError(f"getelementptr on non-pointer at line {line}")
+            if isinstance(index, PointerValue):
+                index_number = index_address = index.address
+            else:
+                index_number, index_address = index, None
+            address = base.address + int(index_number) * element_bits // 8
+            frame.regs[rid] = PointerValue(address, base.symbol, element_bits)
+            if template is not None:
+                emit(template, self.steps, base.symbol,
+                     (base.address, base.address, index_number, index_address,
+                      address, address))
+        return gep
+
+    def _compile_bitcast(self, function: Function, inst: BitCastInst) -> Step:
+        get = self._getter(inst.operands[0])
         assert inst.result is not None
-        frame.regs[inst.result.rid] = value
-        operands = [self._value_operand("1", inst.operands[0], value)]
-        self._emit(frame, inst, operands, self._register_result(inst, value))
+        rid = inst.result.rid
+        result_type = inst.result.type
+        pointee_bits = (result_type.pointee.size_in_bits()
+                        if isinstance(result_type, PointerType) else None)
+        template = self._template(
+            function, inst, [_operand_template("1", inst.operands[0])],
+            _result_template(inst))
+        emit = self._emit
 
-    def _exec_cast(self, frame: Frame, inst: CastInst) -> None:
-        value = self._eval(frame, inst.operands[0])
-        number = as_number(value)
+        def bitcast(frame: Frame) -> None:
+            value = get(frame)
+            if isinstance(value, PointerValue):
+                if pointee_bits is not None:
+                    value = PointerValue(value.address, value.symbol, pointee_bits)
+                number = address = value.address
+            else:
+                number, address = value, None
+            frame.regs[rid] = value
+            if template is not None:
+                emit(template, self.steps, None,
+                     (number, address, number, address))
+        return bitcast
+
+    def _compile_cast(self, function: Function, inst: CastInst) -> Step:
+        get = self._getter(inst.operands[0])
+        convert = _CASTS.get(inst.opcode, _keep)
+        assert inst.result is not None
+        rid = inst.result.rid
+        template = self._template(
+            function, inst, [_operand_template("1", inst.operands[0])],
+            _result_template(inst))
+        emit = self._emit
+
+        def cast(frame: Frame) -> None:
+            value = get(frame)
+            if isinstance(value, PointerValue):
+                number = address = value.address
+            else:
+                number, address = value, None
+            result = convert(number)
+            frame.regs[rid] = result
+            if template is not None:
+                emit(template, self.steps, None, (number, address, result, None))
+        return cast
+
+    def _compile_cmp(self, function: Function, inst: CmpInst) -> Step:
+        get_lhs = self._getter(inst.operands[0])
+        get_rhs = self._getter(inst.operands[1])
+        compare = _PREDICATES[inst.predicate]
+        assert inst.result is not None
+        rid = inst.result.rid
+        template = self._template(
+            function, inst,
+            [_operand_template("1", inst.operands[0]),
+             _operand_template("2", inst.operands[1])],
+            _result_template(inst))
+        emit = self._emit
+
+        def cmp(frame: Frame) -> None:
+            lhs = as_number(get_lhs(frame))
+            rhs = as_number(get_rhs(frame))
+            result = 1 if compare(lhs, rhs) else 0
+            frame.regs[rid] = result
+            if template is not None:
+                emit(template, self.steps, None,
+                     (lhs, None, rhs, None, result, None))
+        return cmp
+
+    def _compile_binary(self, function: Function, inst: BinaryInst) -> Step:
+        get_lhs = self._getter(inst.operands[0])
+        get_rhs = self._getter(inst.operands[1])
         opcode = inst.opcode
-        if opcode in (Opcode.SITOFP, Opcode.UITOFP, Opcode.FPEXT, Opcode.FPTRUNC):
-            result: RuntimeValue = float(number)
-        elif opcode in (Opcode.FPTOSI, Opcode.FPTOUI):
-            result = int(number) if number >= 0 else -int(-number)
-        else:  # integer width changes and pointer/int casts: value-preserving
-            result = int(number) if isinstance(number, int) else number
+        compute = _BINARY.get(opcode)
+        line = inst.line
         assert inst.result is not None
-        frame.regs[inst.result.rid] = result
-        operands = [self._value_operand("1", inst.operands[0], value)]
-        self._emit(frame, inst, operands, self._register_result(inst, result))
+        rid = inst.result.rid
+        template = self._template(
+            function, inst,
+            [_operand_template("1", inst.operands[0]),
+             _operand_template("2", inst.operands[1])],
+            _result_template(inst))
+        emit = self._emit
 
-    def _exec_cmp(self, frame: Frame, inst: CmpInst) -> None:
-        lhs = as_number(self._eval(frame, inst.operands[0]))
-        rhs = as_number(self._eval(frame, inst.operands[1]))
-        predicate = inst.predicate
-        outcome = {
-            "eq": lhs == rhs,
-            "ne": lhs != rhs,
-            "lt": lhs < rhs,
-            "le": lhs <= rhs,
-            "gt": lhs > rhs,
-            "ge": lhs >= rhs,
-        }[predicate]
-        result = 1 if outcome else 0
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = result
-        operands = [self._value_operand("1", inst.operands[0], lhs),
-                    self._value_operand("2", inst.operands[1], rhs)]
-        self._emit(frame, inst, operands, self._register_result(inst, result))
+        def binary(frame: Frame) -> None:
+            lhs = as_number(get_lhs(frame))
+            rhs = as_number(get_rhs(frame))
+            if compute is None:
+                raise InterpreterError(f"unsupported binary opcode {opcode!r}")
+            try:
+                result = compute(lhs, rhs)
+            except ZeroDivisionError as exc:
+                raise InterpreterError(f"division by zero at line {line}") from exc
+            frame.regs[rid] = result
+            if template is not None:
+                emit(template, self.steps, None,
+                     (lhs, None, rhs, None, result, None))
+        return binary
 
-    def _exec_binary(self, frame: Frame, inst: BinaryInst) -> None:
-        lhs = as_number(self._eval(frame, inst.operands[0]))
-        rhs = as_number(self._eval(frame, inst.operands[1]))
-        result = self._compute_binary(inst.opcode, lhs, rhs, inst.line)
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = result
-        operands = [self._value_operand("1", inst.operands[0], lhs),
-                    self._value_operand("2", inst.operands[1], rhs)]
-        self._emit(frame, inst, operands, self._register_result(inst, result))
+    def _compile_print(self, function: Function, inst: PrintInst) -> Step:
+        getters = [self._getter(op) for op in inst.operands]
+        labels = inst.labels
+        template = self._template(
+            function, inst,
+            [_operand_template(str(i + 1), op) for i, op in enumerate(inst.operands)],
+            callee="print")
+        emit = self._emit
 
-    @staticmethod
-    def _compute_binary(opcode: Opcode, lhs: Union[int, float],
-                        rhs: Union[int, float], line: int) -> Union[int, float]:
-        try:
-            if opcode == Opcode.ADD:
-                return int(lhs) + int(rhs)
-            if opcode == Opcode.FADD:
-                return float(lhs) + float(rhs)
-            if opcode == Opcode.SUB:
-                return int(lhs) - int(rhs)
-            if opcode == Opcode.FSUB:
-                return float(lhs) - float(rhs)
-            if opcode == Opcode.MUL:
-                return int(lhs) * int(rhs)
-            if opcode == Opcode.FMUL:
-                return float(lhs) * float(rhs)
-            if opcode in (Opcode.SDIV, Opcode.UDIV):
-                quotient = int(lhs) / int(rhs)
-                return math.trunc(quotient)
-            if opcode == Opcode.FDIV:
-                return float(lhs) / float(rhs)
-            if opcode in (Opcode.SREM, Opcode.UREM):
-                return int(lhs) - int(rhs) * math.trunc(int(lhs) / int(rhs))
-            if opcode == Opcode.FREM:
-                return math.fmod(float(lhs), float(rhs))
-            if opcode == Opcode.AND:
-                return 1 if (lhs != 0 and rhs != 0) else 0
-            if opcode == Opcode.OR:
-                return 1 if (lhs != 0 or rhs != 0) else 0
-            if opcode == Opcode.XOR:
-                return 1 if (lhs != 0) != (rhs != 0) else 0
-        except ZeroDivisionError as exc:
-            raise InterpreterError(f"division by zero at line {line}") from exc
-        raise InterpreterError(f"unsupported binary opcode {opcode!r}")
+        def print_(frame: Frame) -> None:
+            values = [as_number(get(frame)) for get in getters]
+            self.output.append(format_print_output(labels, values))
+            if template is not None:
+                emit(template, self.steps, None, _flatten(values))
+        return print_
 
-    def _exec_print(self, frame: Frame, inst: PrintInst) -> None:
-        values = [as_number(self._eval(frame, op)) for op in inst.operands]
-        self.output.append(format_print_output(inst.labels, values))
-        operands = [self._value_operand(str(i + 1), op, value)
-                    for i, (op, value) in enumerate(zip(inst.operands, values))]
-        self._emit(frame, inst, operands, callee="print")
-
-    def _exec_call(self, frame: Frame, inst: CallInst) -> None:
-        arg_values = [self._eval(frame, op) for op in inst.operands]
-        operands = [self._value_operand(str(i + 1), op, value)
-                    for i, (op, value) in enumerate(zip(inst.operands, arg_values))]
+    def _compile_call(self, function: Function, inst: CallInst) -> Step:
+        getters = [self._getter(op) for op in inst.operands]
+        operands = [_operand_template(str(i + 1), op)
+                    for i, op in enumerate(inst.operands)]
+        callee = inst.callee
+        line = inst.line
+        rid = inst.result.rid if inst.result is not None else None
+        emit = self._emit
 
         if inst.is_builtin:
-            numbers = [as_number(value) for value in arg_values]
-            try:
-                result = self.runtime.call(inst.callee, numbers)
-            except RuntimeError_ as exc:
-                raise InterpreterError(f"{exc} at line {inst.line}") from exc
-            result_operand = None
-            if inst.result is not None:
-                frame.regs[inst.result.rid] = result
-                result_operand = self._register_result(inst, result)
-            self._emit(frame, inst, operands, result_operand, callee=inst.callee)
-            return
+            template = self._template(
+                function, inst, operands,
+                _result_template(inst) if rid is not None else None,
+                callee=callee)
+            call_builtin = self.runtime.call
+
+            def builtin(frame: Frame) -> None:
+                arg_values = [get(frame) for get in getters]
+                try:
+                    result = call_builtin(
+                        callee, [as_number(value) for value in arg_values])
+                except RuntimeError_ as exc:
+                    raise InterpreterError(f"{exc} at line {line}") from exc
+                if rid is not None:
+                    frame.regs[rid] = result
+                    arg_values.append(result)  # the record's result slot
+                if template is not None:
+                    emit(template, self.steps, None, _flatten(arg_values))
+            return builtin
 
         # User function: emit the Call record first (the callee's body follows
         # in the trace — paper Fig. 6b), including parameter name bindings.
-        for position, param_name in enumerate(inst.param_names):
-            value = arg_values[position] if position < len(arg_values) else 0
-            address = value.address if isinstance(value, PointerValue) else None
-            operands.append(TraceOperand(index=f"p{position + 1}", bits=64,
-                                         value=as_number(value), is_register=False,
-                                         name=param_name, address=address))
-        self._emit(frame, inst, operands, callee=inst.callee)
+        param_count = len(inst.param_names)
+        template = self._template(
+            function, inst,
+            operands + [OperandTemplate(f"p{position + 1}", 64, False, name)
+                        for position, name in enumerate(inst.param_names)],
+            callee=callee)
 
-        try:
-            target = self.module.function(inst.callee)
-        except KeyError as exc:
-            raise InterpreterError(f"call to unknown function {inst.callee!r}") from exc
-        returned = self._call_function(target, arg_values)
-        if inst.result is not None:
-            frame.regs[inst.result.rid] = returned if returned is not None else 0
+        def call(frame: Frame) -> None:
+            arg_values = [get(frame) for get in getters]
+            if template is not None:
+                params = [arg_values[position] if position < len(arg_values) else 0
+                          for position in range(param_count)]
+                emit(template, self.steps, None, _flatten(arg_values + params))
+            try:
+                target = self.module.function(callee)
+            except KeyError as exc:
+                raise InterpreterError(f"call to unknown function {callee!r}") from exc
+            returned = self._call_function(target, arg_values)
+            if rid is not None:
+                frame.regs[rid] = returned if returned is not None else 0
+        return call
 
-    def _exec_branch(self, frame: Frame, inst: BranchInst) -> Tuple[str, object]:
-        if inst.is_conditional:
-            condition = as_number(self._eval(frame, inst.operands[0]))
-            target = inst.targets[0] if condition != 0 else inst.targets[1]
-            operands = [self._value_operand("1", inst.operands[0], condition)]
-        else:
-            target = inst.targets[0]
-            operands = []
-        self._emit(frame, inst, operands)
-        return ("branch", target)
+    def _compile_branch(self, function: Function, inst: BranchInst) -> Step:
+        emit = self._emit
+        if not inst.is_conditional:
+            jump: Action = ("branch", inst.targets[0])
+            template = self._template(function, inst, [])
 
-    def _exec_ret(self, frame: Frame, inst: RetInst) -> Tuple[str, object]:
-        value: Optional[RuntimeValue] = None
-        operands: List[TraceOperand] = []
-        if inst.operands:
-            value = self._eval(frame, inst.operands[0])
-            operands.append(self._value_operand("1", inst.operands[0], value))
-        self._emit(frame, inst, operands)
-        return ("return", value)
+            def branch(frame: Frame) -> Action:
+                if template is not None:
+                    emit(template, self.steps, None, ())
+                return jump
+            return branch
+
+        get = self._getter(inst.operands[0])
+        taken: Action = ("branch", inst.targets[0])
+        not_taken: Action = ("branch", inst.targets[1])
+        template = self._template(
+            function, inst, [_operand_template("1", inst.operands[0])])
+
+        def conditional_branch(frame: Frame) -> Action:
+            condition = as_number(get(frame))
+            if template is not None:
+                emit(template, self.steps, None, (condition, None))
+            return taken if condition != 0 else not_taken
+        return conditional_branch
+
+    def _compile_ret(self, function: Function, inst: RetInst) -> Step:
+        emit = self._emit
+        if not inst.operands:
+            template = self._template(function, inst, [])
+
+            def ret_void(frame: Frame) -> Action:
+                if template is not None:
+                    emit(template, self.steps, None, ())
+                return ("return", None)
+            return ret_void
+
+        get = self._getter(inst.operands[0])
+        template = self._template(
+            function, inst, [_operand_template("1", inst.operands[0])])
+
+        def ret(frame: Frame) -> Action:
+            value = get(frame)
+            if template is not None:
+                emit(template, self.steps, None, _flatten((value,)))
+            return ("return", value)
+        return ret
+
+
+#: Step compiler per instruction class (looked up along the MRO once per
+#: static instruction).
+_COMPILERS: Dict[type, Callable[[Interpreter, Function, Instruction], Step]] = {
+    AllocaInst: Interpreter._compile_alloca,
+    LoadInst: Interpreter._compile_load,
+    StoreInst: Interpreter._compile_store,
+    GEPInst: Interpreter._compile_gep,
+    BitCastInst: Interpreter._compile_bitcast,
+    CastInst: Interpreter._compile_cast,
+    CmpInst: Interpreter._compile_cmp,
+    BinaryInst: Interpreter._compile_binary,
+    PrintInst: Interpreter._compile_print,
+    CallInst: Interpreter._compile_call,
+    BranchInst: Interpreter._compile_branch,
+    RetInst: Interpreter._compile_ret,
+}

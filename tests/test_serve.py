@@ -22,6 +22,7 @@ The load-bearing assertions:
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import threading
@@ -93,6 +94,23 @@ class TestEndpoints:
         status, _, body = client.healthz()
         assert status == 200
         assert json.loads(body)["ok"] is True
+
+    def test_kept_alive_connection_has_no_nagle_stalls(self, server):
+        # Headers and body leave in separate sends: with Nagle's algorithm
+        # on, each small response waits ~40 ms for the client's delayed ACK.
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["ok"] is True
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.25, f"10 kept-alive requests took {elapsed:.3f} s"
 
     def test_stats_shape(self, client):
         snap = client.stats()

@@ -223,3 +223,40 @@ class TestErrors:
             handle.write(struct.pack("<H", 999))
         with pytest.raises(BinaryTraceError):
             TraceBinaryReader(path)
+
+    def test_oversized_string_is_refused_before_the_record(self, tmp_path):
+        # u16 length prefix: a string over 65535 UTF-8 bytes cannot be
+        # stored.  The writer refuses the record up front, so the records
+        # before it still close into a readable file.
+        path = str(tmp_path / "long.btrace")
+        with TraceBinaryWriter(path, module_name="m") as writer:
+            writer.write_record(make_record(dyn_id=1))
+            with pytest.raises(BinaryTraceError, match="65535"):
+                writer.write_record(make_record(dyn_id=2,
+                                                function="f" * 65536))
+            with pytest.raises(BinaryTraceError, match="65535"):
+                writer.write_record(make_record(dyn_id=2, name="é" * 32768))
+            with pytest.raises(BinaryTraceError, match="global name"):
+                writer.write_global(
+                    GlobalSymbol("g" * 65536, 0x1000, 8, 64, False))
+            writer.write_record(make_record(dyn_id=2))
+        loaded = read_trace_file_binary(path)
+        assert [record.dyn_id for record in loaded.records] == [1, 2]
+        assert loaded.globals == []
+
+    def test_too_many_operands_is_refused(self, tmp_path):
+        path = str(tmp_path / "wide.btrace")
+        record = make_record(dyn_id=1)
+        record.operands = record.operands * 256
+        with TraceBinaryWriter(path, module_name="m") as writer:
+            with pytest.raises(BinaryTraceError, match="256 operands"):
+                writer.write_record(record)
+            record.operands = record.operands[:255]
+            writer.write_record(record)
+        assert len(read_trace_file_binary(path).records[0].operands) == 255
+
+    def test_oversized_module_name_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "module.btrace"
+        with pytest.raises(BinaryTraceError, match="module name"):
+            TraceBinaryWriter(str(path), module_name="m" * 65536)
+        assert not path.exists()

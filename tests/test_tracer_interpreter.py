@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import get_app
 from repro.codegen import compile_source
 from repro.ir.opcodes import Opcode
 from repro.tracer import (
@@ -12,6 +13,7 @@ from repro.tracer import (
     compile_and_run,
     run_and_trace,
 )
+from repro.tracer.interpreter import InMemoryTraceSink
 
 
 SMALL_PROGRAM = """\
@@ -170,6 +172,23 @@ class TestTraceEmission:
         loads_in_triple = [r for r in trace.records
                            if r.is_load and r.function == "triple"]
         assert any(r.memory_operand().name == "v" for r in loads_in_triple)
+
+    @pytest.mark.parametrize("app_name", ["example", "is"])
+    def test_untraced_run_matches_traced_run(self, app_name):
+        # The sink-less run takes its own fast path (no record data at
+        # all); it must execute exactly what the traced run executes.
+        module = get_app(app_name).module()
+        untraced = Interpreter(module)
+        untraced_result = untraced.run()
+        sink = InMemoryTraceSink(module_name=module.name)
+        traced = Interpreter(module, trace_sink=sink)
+        traced_result = traced.run()
+        assert untraced_result.output == traced_result.output
+        assert untraced_result.steps == traced_result.steps
+        assert untraced.dyn_counter == traced.dyn_counter
+        assert traced.dyn_counter == len(sink.trace.records)
+        assert sink.trace.records[-1].dyn_id == traced.dyn_counter
+        assert compile_and_run(module).output == traced_result.output
 
     def test_no_sink_means_no_records_but_same_result(self):
         module = compile_source(SMALL_PROGRAM)
